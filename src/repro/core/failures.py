@@ -157,8 +157,8 @@ class _FailureDriver(_Driver):
         self._epoch += 1
         # queued-but-unconsumed messages are part of the undone past
         for h in self.system.hosts:
-            self.result.stale_messages_dropped += len(h.inbox.items)
-            h.inbox.items.clear()
+            self.result.stale_messages_dropped += len(h.inbox)
+            h.inbox.clear()
         until = now + plan.recovery_time
         for h in range(self.config.n_hosts):
             self._resume_after[h] = max(self._resume_after[h], until)

@@ -15,8 +15,10 @@ Engine selection
 
 ``engine="auto"`` (the default) picks the cheapest sound engine:
 
-* any coordinated protocol in the set -> the **online** DES (the only
-  engine that can drive coordination rounds);
+* any coordinated protocol in the set, or a ``ckpt_latency`` /
+  ``gc_interval`` knob set -> the **online** DES (the only engine that
+  can drive coordination rounds, pause hosts for checkpoint transfers
+  or collect stable storage);
 * otherwise, if every protocol ships batch kernels -> the
   **vectorized** replay (fused contract, no per-event dispatch);
 * otherwise, if every protocol is fusable -> the **fused** single-pass
@@ -24,7 +26,9 @@ Engine selection
 * otherwise -> the **reference** per-protocol replay.
 
 Naming an engine explicitly instead turns the same conditions into
-hard :class:`~repro.engine.errors.CapabilityError` checks.
+hard :class:`~repro.engine.errors.CapabilityError` checks, and a replay
+engine named with an online-only knob into a
+:class:`~repro.engine.errors.PlanError`.
 """
 
 from __future__ import annotations
@@ -220,11 +224,19 @@ class ExecutionPlan:
         return tuple(e.name for e in self.entries)
 
 
+def _online_knobs(spec: RunSpec) -> bool:
+    """True when *spec* sets a knob only the online engine honours."""
+    return spec.ckpt_latency > 0 or spec.gc_interval is not None
+
+
 def _select_engine(spec: RunSpec, entries) -> str:
     """Resolve ``engine="auto"`` to a concrete kind (see module doc)."""
-    if spec.trace is None and any(
-        e.capabilities.coordinated or not e.capabilities.replayable
-        for e in entries
+    if spec.trace is None and (
+        _online_knobs(spec)
+        or any(
+            e.capabilities.coordinated or not e.capabilities.replayable
+            for e in entries
+        )
     ):
         return "online"
     # A pre-built trace can only be replayed; a non-replayable entry
@@ -282,7 +294,8 @@ def plan(spec: RunSpec) -> ExecutionPlan:
     PlanError
         The spec itself is incoherent: no schedule source, both
         sources at once, an online run from a pre-built trace, an
-        audited online run, ...
+        audited online run, ``ckpt_latency`` / ``gc_interval`` on a
+        replay engine, ...
     """
     if spec.workload is None and spec.trace is None:
         raise PlanError("spec needs a workload or a pre-built trace")
@@ -323,6 +336,13 @@ def plan(spec: RunSpec) -> ExecutionPlan:
     if kind == "auto":
         kind = _select_engine(spec, entries)
     _check_engine_fit(kind, entries)
+
+    if kind != "online" and _online_knobs(spec):
+        raise PlanError(
+            f"ckpt_latency and gc_interval act only inside the online "
+            f"simulation; the {kind} replay engine would drop them -- "
+            f"use engine='online' (or 'auto' with a workload)"
+        )
 
     if kind == "online":
         if spec.trace is not None:

@@ -11,10 +11,10 @@ otherwise a receive).
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Optional
+from collections import deque
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.des.core import Environment
-from repro.des.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.message import Message
@@ -46,6 +46,7 @@ class MobileHost:
         "mss_id",
         "state",
         "inbox",
+        "_waiter",
         "sent_count",
         "received_count",
         "handoff_count",
@@ -59,8 +60,10 @@ class MobileHost:
         self.mss_id = mss_id
         self.state = HostState.ACTIVE
         #: Application messages delivered over the air, awaiting an
-        #: explicit receive operation.
-        self.inbox: Store = Store(env)
+        #: explicit receive operation (oldest first).
+        self.inbox: deque["Message"] = deque()
+        #: Callback of a blocked receive waiting on an empty inbox.
+        self._waiter: Optional[Callable[["Message"], None]] = None
         self.sent_count = 0
         self.received_count = 0
         self.handoff_count = 0
@@ -79,25 +82,41 @@ class MobileHost:
         This is the non-blocking receive operation used by the paper
         workload (see DESIGN.md "Model decisions").
         """
-        ok, msg = self.inbox.try_get()
-        if not ok:
+        if not self.inbox:
             return None
         self.received_count += 1
-        return msg
+        return self.inbox.popleft()
 
-    def receive_event(self):
-        """Blocking receive: an event that fires with the next message.
+    def wait_receive(self, callback: Callable[["Message"], None]) -> None:
+        """Blocking receive: ``callback(msg)`` fires with the next message.
 
-        Offered for the ``block_on_empty_receive`` workload variant.
+        Offered for the ``block_on_empty_receive`` workload variant.  The
+        message leaves the inbox at once (or on its delivery, if the
+        inbox is empty); the callback runs from a zero-delay agenda entry
+        scheduled at that moment.
         """
-        ev = self.inbox.get()
+        if self._waiter is not None:
+            raise RuntimeError(f"host {self.host_id} is already blocked")
+        if self.inbox:
+            self._wake(callback, self.inbox.popleft())
+        else:
+            self._waiter = callback
 
-        def _count(event):
-            if event.ok:
-                self.received_count += 1
+    def deliver(self, msg: "Message") -> None:
+        """Hand *msg* to a blocked receive, or queue it in the inbox."""
+        waiter = self._waiter
+        if waiter is None:
+            self.inbox.append(msg)
+        else:
+            self._waiter = None
+            self._wake(waiter, msg)
 
-        ev.add_callback(_count)
-        return ev
+    def _wake(self, callback: Callable[["Message"], None], msg: "Message") -> None:
+        def fire() -> None:
+            self.received_count += 1
+            callback(msg)
+
+        self.env.call_later(0.0, fire)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -229,7 +229,7 @@ class MobileSystem:
             self.duplicates_suppressed += 1
             return
         self._delivered[msg.dst].add(msg.msg_id)
-        host.inbox.put(msg)
+        host.deliver(msg)
         if self.on_deliver is not None:
             self.on_deliver(host, msg)
 

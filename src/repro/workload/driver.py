@@ -278,14 +278,13 @@ class _Driver:
                 self._consume(host, msg)
                 self._schedule_app(host, extra=self._ckpt_pause(host))
             elif self.config.block_on_empty_receive:
-                ev = h.receive_event()
-                ev.add_callback(lambda e: self._blocked_receive_done(host, e))
+                h.wait_receive(lambda m: self._blocked_receive_done(host, m))
             else:
                 # Empty inbox: the receive operation is a no-op.
                 self._schedule_app(host)
 
-    def _blocked_receive_done(self, host: int, event) -> None:
-        self._consume(host, event.value)
+    def _blocked_receive_done(self, host: int, msg) -> None:
+        self._consume(host, msg)
         self._schedule_app(host, extra=self._ckpt_pause(host))
 
     def _do_send(self, host: int) -> None:

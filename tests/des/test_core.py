@@ -2,41 +2,74 @@
 
 import pytest
 
-from repro.des import Environment, StopSimulation
-from repro.des.core import PRIORITY_URGENT
+from repro.des import Environment
 
 
 def test_clock_starts_at_initial_time():
-    assert Environment().now == 0.0
-    assert Environment(initial_time=7.5).now == 7.5
+    env = Environment()
+    assert env.now == 0.0
+    assert env.event_count == 0
 
 
 def test_timeout_advances_clock():
     env = Environment()
-    env.timeout(3.0)
+    env.call_later(3.0, lambda: None)
     env.run()
     assert env.now == 3.0
 
 
+def test_callback_fires_once_at_its_time():
+    env = Environment()
+    hits = []
+    env.call_later(2.0, lambda: hits.append(env.now))
+    env.run()
+    env.run()
+    assert hits == [2.0]
+
+
 def test_run_until_stops_clock_exactly_at_until():
     env = Environment()
-    env.timeout(10.0)
+    fired = []
+    env.call_later(10.0, lambda: fired.append(env.now))
     env.run(until=4.0)
     assert env.now == 4.0
-    # the pending timeout is still on the agenda
-    assert env.peek() == 10.0
+    assert fired == []
+    # the pending callback is still on the agenda
+    env.run()
+    assert fired == [10.0]
+
+
+def test_run_until_fires_callbacks_due_exactly_at_until():
+    env = Environment()
+    fired = []
+    env.call_later(4.0, lambda: fired.append(env.now))
+    env.run(until=4.0)
+    assert fired == [4.0]
+
+
+def test_run_until_advances_an_empty_agenda():
+    env = Environment()
+    env.run(until=7.5)
+    assert env.now == 7.5
+    env.call_later(1.0, lambda: None)
+    env.run()
+    assert env.now == 8.5
 
 
 def test_run_until_in_past_raises():
-    env = Environment(initial_time=5.0)
+    env = Environment()
+    env.run(until=5.0)
     with pytest.raises(ValueError):
         env.run(until=1.0)
+    assert env.now == 5.0
 
 
 def test_negative_delay_rejected():
     env = Environment()
     with pytest.raises(ValueError):
-        env.schedule(env.event(), delay=-1.0)
+        env.call_later(-1.0, lambda: None)
+    assert env.run() is None
+    assert env.event_count == 0
 
 
 def test_events_fire_in_time_order():
@@ -57,62 +90,26 @@ def test_same_time_events_fire_in_insertion_order():
     assert order == list("abcd")
 
 
-def test_priority_breaks_same_time_ties():
+def test_zero_delay_callback_runs_after_same_time_ones_already_queued():
     env = Environment()
     order = []
-    env.call_later(1.0, lambda: order.append("normal"))
-    env.call_later(1.0, lambda: order.append("urgent"), priority=PRIORITY_URGENT)
+
+    def first():
+        order.append("first")
+        env.call_later(0.0, lambda: order.append("woken"))
+
+    env.call_later(1.0, first)
+    env.call_later(1.0, lambda: order.append("second"))
     env.run()
-    assert order == ["urgent", "normal"]
-
-
-def test_call_at_absolute_time():
-    env = Environment(initial_time=10.0)
-    seen = []
-    env.call_at(12.5, lambda: seen.append(env.now))
-    env.run()
-    assert seen == [12.5]
-
-
-def test_call_at_in_past_raises():
-    env = Environment(initial_time=10.0)
-    with pytest.raises(ValueError):
-        env.call_at(9.0, lambda: None)
-
-
-def test_stop_simulation_returns_value_and_preserves_agenda():
-    env = Environment()
-    env.call_later(1.0, lambda: (_ for _ in ()).throw(StopSimulation("halt")))
-    env.call_later(2.0, lambda: None)
-    result = env.run()
-    assert result == "halt"
-    assert env.peek() == 2.0
-
-
-def test_run_until_event_returns_value():
-    env = Environment()
-    ev = env.timeout(4.0, value="payload")
-    assert env.run_until_event(ev) == "payload"
-    assert env.now == 4.0
-
-
-def test_run_until_event_raises_on_starved_agenda():
-    env = Environment()
-    ev = env.event()  # never triggered
-    with pytest.raises(RuntimeError, match="agenda exhausted"):
-        env.run_until_event(ev)
+    assert order == ["first", "second", "woken"]
 
 
 def test_event_count_tracks_processed_events():
     env = Environment()
     for _ in range(5):
-        env.timeout(1.0)
+        env.call_later(1.0, lambda: None)
     env.run()
     assert env.event_count == 5
-
-
-def test_peek_empty_agenda_is_inf():
-    assert Environment().peek() == float("inf")
 
 
 def test_nested_scheduling_from_callback():
@@ -131,7 +128,17 @@ def test_nested_scheduling_from_callback():
     assert times == [1.0, 3.0]
 
 
-def test_drain_runs_multiple_events():
+def test_exception_in_callback_propagates_out_of_run():
     env = Environment()
-    evs = [env.timeout(d, value=d) for d in (3.0, 1.0)]
-    assert env.drain(evs) == [3.0, 1.0]
+    after = []
+
+    def boom():
+        raise RuntimeError("inside callback")
+
+    env.call_later(1.0, boom)
+    env.call_later(2.0, lambda: after.append(env.now))
+    with pytest.raises(RuntimeError, match="inside callback"):
+        env.run(until=10.0)
+    # the clock stays at the failing callback; later ones are untouched
+    assert env.now == 1.0
+    assert after == []

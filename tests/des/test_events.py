@@ -1,177 +1,30 @@
-"""Unit tests for event primitives (repro.des.events)."""
+"""Event-level guarantees that survive on the flat agenda.
+
+The kernel has no event objects; a scheduled callback is the only kind
+of event.  These tests pin what a timeout and a failed event used to
+guarantee, expressed through ``call_later``.
+"""
 
 import pytest
 
-from repro.des import (
-    Environment,
-    Event,
-    EventAlreadyTriggered,
-    Timeout,
-    all_of,
-    any_of,
-)
-
-
-def test_event_lifecycle_states():
-    env = Environment()
-    ev = env.event()
-    assert not ev.triggered and not ev.processed
-    ev.succeed(123)
-    assert ev.triggered and not ev.processed
-    env.run()
-    assert ev.processed
-    assert ev.value == 123
-
-
-def test_value_before_trigger_raises():
-    env = Environment()
-    with pytest.raises(AttributeError):
-        _ = env.event().value
-
-
-def test_double_succeed_raises():
-    env = Environment()
-    ev = env.event().succeed()
-    with pytest.raises(EventAlreadyTriggered):
-        ev.succeed()
-
-
-def test_succeed_after_fail_raises():
-    env = Environment()
-    ev = env.event()
-    ev.fail(RuntimeError("boom"))
-    ev.defused = True
-    with pytest.raises(EventAlreadyTriggered):
-        ev.succeed()
-
-
-def test_fail_requires_exception_instance():
-    env = Environment()
-    with pytest.raises(TypeError):
-        env.event().fail("not an exception")  # type: ignore[arg-type]
-
-
-def test_failed_event_flags():
-    env = Environment()
-    exc = ValueError("x")
-    ev = env.event().fail(exc)
-    ev.defused = True
-    env.run()
-    assert ev.failed and not ev.ok
-    assert ev.value is exc
-
-
-def test_undefused_failure_propagates_out_of_run():
-    env = Environment()
-    env.event().fail(RuntimeError("unhandled"))
-    with pytest.raises(RuntimeError, match="unhandled"):
-        env.run()
-
-
-def test_callback_after_processed_runs_immediately():
-    env = Environment()
-    ev = env.timeout(1.0, value="v")
-    env.run()
-    seen = []
-    ev.add_callback(lambda e: seen.append(e.value))
-    assert seen == ["v"]
-
-
-def test_callbacks_run_once_in_order():
-    env = Environment()
-    ev = env.timeout(0.0)
-    order = []
-    ev.add_callback(lambda e: order.append(1))
-    ev.add_callback(lambda e: order.append(2))
-    env.run()
-    assert order == [1, 2]
+from repro.des import Environment
 
 
 def test_timeout_negative_delay_rejected():
     env = Environment()
     with pytest.raises(ValueError):
-        Timeout(env, -0.5)
-
-
-def test_trigger_copies_state():
-    env = Environment()
-    src = env.timeout(0.0, value="orig")
+        env.call_later(-0.5, lambda: None)
+    assert env.event_count == 0
     env.run()
-    dst = env.event()
-    dst.trigger(src)
-    env.run()
-    assert dst.value == "orig"
+    assert env.now == 0.0
 
 
-# ---------------------------------------------------------------------------
-# condition events
-# ---------------------------------------------------------------------------
-
-
-def test_all_of_waits_for_every_event():
+def test_undefused_failure_propagates_out_of_run():
     env = Environment()
-    a, b = env.timeout(1.0, "a"), env.timeout(5.0, "b")
-    cond = all_of(env, [a, b])
-    env.run_until_event(cond)
-    assert env.now == 5.0
-    assert cond.value == {a: "a", b: "b"}
 
+    def fail():
+        raise RuntimeError("unhandled")
 
-def test_any_of_fires_on_first_event():
-    env = Environment()
-    a, b = env.timeout(1.0, "a"), env.timeout(5.0, "b")
-    cond = any_of(env, [a, b])
-    env.run_until_event(cond)
-    assert env.now == 1.0
-    assert cond.value == {a: "a"}
-
-
-def test_all_of_empty_triggers_immediately():
-    env = Environment()
-    cond = all_of(env, [])
-    env.run()
-    assert cond.processed and cond.value == {}
-
-
-def test_any_of_empty_triggers_immediately():
-    env = Environment()
-    cond = any_of(env, [])
-    env.run()
-    assert cond.processed
-
-
-def test_all_of_with_already_processed_events():
-    env = Environment()
-    a = env.timeout(1.0, "a")
-    env.run()
-    b = env.timeout(2.0, "b")
-    cond = all_of(env, [a, b])
-    env.run_until_event(cond)
-    assert cond.value == {a: "a", b: "b"}
-
-
-def test_all_of_fails_when_child_fails():
-    env = Environment()
-    good = env.timeout(10.0)
-    bad = env.event()
-    cond = all_of(env, [good, bad])
-    bad.fail(RuntimeError("child"))
-    with pytest.raises(RuntimeError, match="child"):
-        env.run_until_event(cond)
-    assert cond.failed
-
-
-def test_condition_rejects_cross_environment_events():
-    env1, env2 = Environment(), Environment()
-    with pytest.raises(ValueError):
-        all_of(env1, [env1.event(), env2.event()])
-
-
-def test_condition_with_pre_failed_child_fails_immediately():
-    env = Environment()
-    bad = env.event().fail(RuntimeError("pre"))
-    bad.defused = True
-    env.run()
-    cond = any_of(env, [bad, env.timeout(1.0)])
-    with pytest.raises(RuntimeError, match="pre"):
-        env.run_until_event(cond)
+    env.call_later(0.0, fail)
+    with pytest.raises(RuntimeError, match="unhandled"):
+        env.run()

@@ -1,34 +1,18 @@
-"""Tests for the call_later fast path (FunctionCall events)."""
+"""Tests for ``call_later``, the kernel's only way to schedule work."""
 
 import pytest
 
 from repro.des import Environment
-from repro.des.events import FunctionCall
-
-
-def test_function_call_fires_once():
-    env = Environment()
-    hits = []
-    env.call_later(2.0, lambda: hits.append(env.now))
-    env.run()
-    assert hits == [2.0]
 
 
 def test_function_call_ordering_with_timeouts():
     env = Environment()
     order = []
-    env.timeout(1.0).add_callback(lambda e: order.append("timeout"))
-    env.call_later(1.0, lambda: order.append("call"))
+    env.call_later(1.0, lambda: order.append("first"))
+    env.call_later(1.0, lambda: order.append("second"))
+    env.call_later(0.5, lambda: order.append("earlier"))
     env.run()
-    assert order == ["timeout", "call"]  # insertion order at equal times
-
-
-def test_function_call_is_event():
-    env = Environment()
-    ev = env.call_later(1.0, lambda: None)
-    assert isinstance(ev, FunctionCall)
-    env.run()
-    assert ev.processed
+    assert order == ["earlier", "first", "second"]  # insertion order at equal times
 
 
 def test_nested_function_calls():
@@ -53,3 +37,4 @@ def test_exception_in_function_call_propagates():
     env.call_later(1.0, boom)
     with pytest.raises(RuntimeError, match="inside callback"):
         env.run()
+    assert env.now == 1.0

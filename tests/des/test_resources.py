@@ -1,169 +1,45 @@
-"""Unit tests for Resource and Store (repro.des.resources)."""
+"""FIFO message store semantics, now carried by ``MobileHost.inbox``.
 
-import pytest
+The kernel no longer ships a ``Store``; its one user, the host inbox, is
+a ``collections.deque`` with a single blocked-receive callback.  These
+tests pin the store guarantees the simulation relies on.
+"""
 
-from repro.des import Environment, Resource, Store
-
-
-# ---------------------------------------------------------------------------
-# Resource
-# ---------------------------------------------------------------------------
-
-
-def test_resource_grants_up_to_capacity():
-    env = Environment()
-    res = Resource(env, capacity=2)
-    r1, r2, r3 = res.request(), res.request(), res.request()
-    assert r1.triggered and r2.triggered and not r3.triggered
-    assert res.count == 2
-
-
-def test_release_grants_next_waiter_fifo():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    first = res.request()
-    second = res.request()
-    third = res.request()
-    res.release(first)
-    assert second.triggered and not third.triggered
-    res.release(second)
-    assert third.triggered
-
-
-def test_release_of_queued_request_cancels_it():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    held = res.request()
-    queued = res.request()
-    res.release(queued)  # cancel while still waiting
-    res.release(held)
-    assert not queued.triggered  # cancelled, never granted
-    assert res.count == 0
-
-
-def test_resource_capacity_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Resource(env, capacity=0)
-
-
-def test_resource_with_processes_serialises_critical_section():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    log = []
-
-    def user(env, name):
-        req = res.request()
-        yield req
-        log.append((name, "in", env.now))
-        yield env.timeout(2.0)
-        log.append((name, "out", env.now))
-        res.release(req)
-
-    env.process(user(env, "a"))
-    env.process(user(env, "b"))
-    env.run()
-    assert log == [
-        ("a", "in", 0.0),
-        ("a", "out", 2.0),
-        ("b", "in", 2.0),
-        ("b", "out", 4.0),
-    ]
-
-
-def test_request_context_manager_releases():
-    env = Environment()
-    res = Resource(env, capacity=1)
-
-    def user(env):
-        with res.request() as req:
-            yield req
-            yield env.timeout(1.0)
-
-    env.process(user(env))
-    env.run()
-    assert res.count == 0
-
-
-# ---------------------------------------------------------------------------
-# Store
-# ---------------------------------------------------------------------------
+from repro.des import Environment
+from repro.net.host import MobileHost
+from repro.net.message import Message
 
 
 def test_store_fifo_order():
     env = Environment()
-    store = Store(env)
-    store.put("x")
-    store.put("y")
-    g1, g2 = store.get(), store.get()
+    h = MobileHost(env, 0, 0)
+    h.deliver(Message(src=1, dst=0))
+    h.deliver(Message(src=2, dst=0))
+    got = []
+    h.wait_receive(lambda m: got.append(m.src))
     env.run()
-    assert (g1.value, g2.value) == ("x", "y")
+    h.wait_receive(lambda m: got.append(m.src))
+    env.run()
+    assert got == [1, 2]
 
 
 def test_store_get_blocks_until_put():
     env = Environment()
-    store = Store(env)
-    getter = store.get()
-    assert not getter.triggered
-    env.call_later(3.0, lambda: store.put("late"))
-    env.run_until_event(getter)
-    assert getter.value == "late"
+    h = MobileHost(env, 0, 0)
+    got = []
+    h.wait_receive(lambda m: got.append((env.now, m.src)))
+    env.run()
+    assert got == []
+    env.call_later(3.0, lambda: h.deliver(Message(src=7, dst=0)))
+    env.run()
+    assert got == [(3.0, 7)]
     assert env.now == 3.0
-
-
-def test_store_filter_selects_matching_item():
-    env = Environment()
-    store = Store(env)
-    store.put({"kind": "data", "v": 1})
-    store.put({"kind": "ctrl", "v": 2})
-    getter = store.get(filter=lambda item: item["kind"] == "ctrl")
-    env.run()
-    assert getter.value["v"] == 2
-    assert len(store) == 1  # the data item is still buffered
-
-
-def test_store_filtered_getter_waits_for_match():
-    env = Environment()
-    store = Store(env)
-    getter = store.get(filter=lambda item: item > 10)
-    store.put(5)
-    assert not getter.triggered
-    store.put(50)
-    env.run()
-    assert getter.value == 50
-    assert store.items[0] == 5
 
 
 def test_store_try_get_nonblocking():
     env = Environment()
-    store = Store(env)
-    assert store.try_get() == (False, None)
-    store.put("a")
-    assert store.try_get() == (True, "a")
-    assert len(store) == 0
-
-
-def test_store_capacity_overflow_raises():
-    env = Environment()
-    store = Store(env, capacity=1)
-    store.put(1)
-    with pytest.raises(OverflowError):
-        store.put(2)
-
-
-def test_store_capacity_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Store(env, capacity=0)
-
-
-def test_two_getters_one_filtered_dispatch_is_fair():
-    env = Environment()
-    store = Store(env)
-    plain = store.get()
-    filtered = store.get(filter=lambda x: x == "special")
-    store.put("ordinary")
-    store.put("special")
-    env.run()
-    assert plain.value == "ordinary"
-    assert filtered.value == "special"
+    h = MobileHost(env, 0, 0)
+    assert h.try_receive() is None
+    h.deliver(Message(src=1, dst=0))
+    assert h.try_receive().src == 1
+    assert len(h.inbox) == 0

@@ -36,6 +36,31 @@ def test_auto_routes_coordinated_to_online():
     assert p.engine_kind == "online"
 
 
+@pytest.mark.parametrize(
+    "knobs", [{"ckpt_latency": 0.05}, {"gc_interval": 200.0}], ids=repr
+)
+def test_auto_routes_online_only_knobs_to_online(knobs):
+    # A replay engine has no checkpoint pause and no stable storage:
+    # planning one would drop the knob silently.
+    p = plan(RunSpec(protocols=("TP", "BCS", "QBC"), workload=cfg(), **knobs))
+    assert p.engine_kind == "online"
+
+
+@pytest.mark.parametrize("engine", ["reference", "fused", "vectorized"])
+@pytest.mark.parametrize(
+    "knobs", [{"ckpt_latency": 0.05}, {"gc_interval": 200.0}], ids=repr
+)
+def test_replay_engine_rejects_online_only_knobs(engine, knobs):
+    with pytest.raises(PlanError, match="online"):
+        plan(RunSpec(protocols=("BCS",), workload=cfg(), engine=engine, **knobs))
+
+
+def test_auto_with_trace_rejects_online_only_knobs():
+    trace = generate_trace(cfg())
+    with pytest.raises(PlanError, match="ckpt_latency"):
+        plan(RunSpec(protocols=("BCS",), trace=trace, ckpt_latency=0.05))
+
+
 def test_auto_falls_back_to_reference_for_non_fusable():
     class NotFusable(BCSProtocol):
         fusable = False

@@ -111,20 +111,50 @@ def test_host_try_receive_counts():
     env = Environment()
     h = MobileHost(env, 0, 0)
     assert h.try_receive() is None
-    h.inbox.put(Message(src=1, dst=0))
+    h.deliver(Message(src=1, dst=0))
+    h.deliver(Message(src=2, dst=0))
+    assert len(h.inbox) == 2
     msg = h.try_receive()
     assert msg.src == 1
     assert h.received_count == 1
+    assert [m.src for m in h.inbox] == [2]
 
 
 def test_host_blocking_receive_event():
     env = Environment()
     h = MobileHost(env, 0, 0)
-    ev = h.receive_event()
-    h.inbox.put(Message(src=1, dst=0))
+    got = []
+    h.wait_receive(lambda m: got.append((env.now, m.src)))
+    env.call_later(3.0, lambda: h.deliver(Message(src=1, dst=0)))
     env.run()
-    assert ev.value.src == 1
+    # the delivery wakes the waiter through the agenda, bypassing the inbox
+    assert got == [(3.0, 1)]
     assert h.received_count == 1
+    assert len(h.inbox) == 0
+    # a later delivery queues again
+    h.deliver(Message(src=2, dst=0))
+    assert len(h.inbox) == 1
+
+
+def test_host_blocking_receive_takes_queued_message():
+    env = Environment()
+    h = MobileHost(env, 0, 0)
+    h.deliver(Message(src=1, dst=0))
+    got = []
+    h.wait_receive(lambda m: got.append(m.src))
+    assert len(h.inbox) == 0
+    assert got == []  # delivered from a zero-delay agenda entry
+    env.run()
+    assert got == [1]
+    assert h.received_count == 1
+
+
+def test_host_allows_one_blocked_receive():
+    env = Environment()
+    h = MobileHost(env, 0, 0)
+    h.wait_receive(lambda m: None)
+    with pytest.raises(RuntimeError):
+        h.wait_receive(lambda m: None)
 
 
 def test_host_state_flags():
