@@ -2,11 +2,11 @@
 
 Replay spends most of its time decoding :class:`TraceEvent` objects --
 five attribute loads and an ``IntEnum`` comparison per event, repeated
-once per protocol under :func:`repro.core.replay.replay`.  Compiling a
-trace lowers the event list into parallel plain-``int``/``float``
-columns once, so the fused replay engine
-(:func:`repro.core.replay.replay_fused`) streams tuples out of a single
-``zip`` instead of touching dataclass instances.
+once per protocol under :func:`repro.core.replay.replay`.  The compiled
+form holds the events as parallel plain-``int``/``float`` columns, so
+the fused replay engine (:func:`repro.core.replay.replay_fused`)
+streams tuples out of a single ``zip`` instead of touching dataclass
+instances.
 
 Compilation also resolves message identity ahead of time: every SEND is
 assigned a dense *slot* (its ordinal among sends) and every RECEIVE
@@ -15,8 +15,13 @@ hash table -- the in-flight piggyback store becomes a flat list indexed
 by slot.  The matching is validated while building the mapping
 (unmatched or double-consumed receives raise :class:`TraceError`).
 
-A compiled trace is a pure read-only view: it never mutates the source
-trace, and :meth:`Trace.compiled` caches it per trace instance.
+Columns are the primary form of every generated or loaded trace: the
+workload driver feeds its events straight into a :class:`ColumnBuilder`
+and the trace loader rebuilds the columns from the stored arrays, so
+:class:`TraceEvent` objects exist only once something reads
+``Trace.events``.  :func:`compile_trace` lowers an existing event list
+through the same builder.  A compiled trace is read-only;
+:meth:`Trace.compiled` caches it per trace instance.
 """
 
 from __future__ import annotations
@@ -144,20 +149,151 @@ def array_columns(trace: Trace) -> ArrayColumns:
     (:mod:`repro.core.trace_io`), which stores the columns natively as
     arrays so a disk cache hit feeds the vectorized engine without a
     list round-trip.  Invalidation mirrors :meth:`Trace.compiled`:
-    keyed on the event count.
+    keyed on ``len(trace)``.
     """
     cached: Optional[tuple[int, ArrayColumns]] = getattr(
         trace, "_array_columns_cache", None
     )
-    if cached is not None and cached[0] == len(trace.events):
+    if cached is not None and cached[0] == len(trace):
         return cached[1]
     arrays = ArrayColumns.from_compiled(trace.compiled())
-    trace._array_columns_cache = (len(trace.events), arrays)
+    trace._array_columns_cache = (len(trace), arrays)
     return arrays
 
 
+def event_argv(etype, time, host, peer, cell) -> list[tuple]:
+    """The ``argv`` column (see :class:`CompiledTrace`) of plain
+    event-type / time / host / peer / cell columns."""
+    argv: list[tuple] = []
+    append = argv.append
+    for et, t, h, p, c in zip(etype, time, host, peer, cell):
+        if et == SEND or et == RECEIVE:
+            append((h, p, t))
+        elif et == DISCONNECT:
+            append((h, t))
+        elif et == INTERNAL:
+            append(())
+        else:  # CELL_SWITCH / RECONNECT
+            append((h, t, c))
+    return argv
+
+
+class ColumnBuilder:
+    """Compile events one at a time into :class:`CompiledTrace` columns.
+
+    The one implementation of send/receive slot matching: every SEND
+    takes the next dense slot, every RECEIVE takes (and closes) its
+    send's slot.  A duplicate send or a receive whose send is missing
+    or already consumed raises :class:`TraceError` at feed time, so a
+    broken event source fails as early as possible.  Sends still in
+    flight at :meth:`finish` are fine.
+
+    The workload driver feeds its events straight in, so a generated
+    trace never exists as :class:`~repro.core.trace.TraceEvent`
+    objects; :func:`compile_trace` feeds an existing event list, and
+    :class:`~repro.core.streamed.StreamingCompiler` extends the builder
+    with block flushing.
+
+    Usage::
+
+        builder = ColumnBuilder(n_hosts=10, n_mss=5, sim_time=1e5)
+        builder.feed(0.5, SEND, 0, msg_id=0, peer=3)
+        compiled = builder.finish()
+    """
+
+    def __init__(self, n_hosts: int, n_mss: int, sim_time: float):
+        self.n_hosts = n_hosts
+        self.n_mss = n_mss
+        self.sim_time = sim_time
+        self.n_events = 0
+        self.n_sends = 0
+        self.n_receives = 0
+        self._etype: list[int] = []
+        self._time: list[float] = []
+        self._host: list[int] = []
+        self._msg_id: list[int] = []
+        self._peer: list[int] = []
+        self._cell: list[int] = []
+        self._slot: list[int] = []
+        self._argv: list[tuple] = []
+        self._open_sends: dict[int, int] = {}
+        self._finished = False
+
+    def __len__(self) -> int:
+        return self.n_events
+
+    def feed(
+        self,
+        time: float,
+        etype: int,
+        host: int,
+        msg_id: int = -1,
+        peer: int = -1,
+        cell: int = -1,
+    ) -> None:
+        """Compile one event (field order mirrors ``TraceEvent``)."""
+        if self._finished:
+            raise TraceError(f"{type(self).__name__} already finished")
+        et = int(etype)
+        if et == SEND:
+            if msg_id in self._open_sends:
+                raise TraceError(f"duplicate send of msg {msg_id}")
+            slot = self._open_sends[msg_id] = self.n_sends
+            self.n_sends = slot + 1
+            args = (host, peer, time)
+        elif et == RECEIVE:
+            try:
+                slot = self._open_sends.pop(msg_id)
+            except KeyError:
+                raise TraceError(
+                    f"receive of msg {msg_id} that was never sent or "
+                    "was already consumed (validate() the trace first)"
+                ) from None
+            self.n_receives += 1
+            args = (host, peer, time)
+        else:
+            slot = -1
+            if et == DISCONNECT:
+                args = (host, time)
+            elif et == INTERNAL:
+                args = ()
+            else:  # CELL_SWITCH / RECONNECT
+                args = (host, time, cell)
+        self._etype.append(et)
+        self._time.append(time)
+        self._host.append(host)
+        self._msg_id.append(msg_id)
+        self._peer.append(peer)
+        self._cell.append(cell)
+        self._slot.append(slot)
+        self._argv.append(args)
+        self.n_events += 1
+
+    def finish(self) -> CompiledTrace:
+        """Seal the builder and return its columns (further feeds raise
+        :class:`TraceError`)."""
+        self._finished = True
+        return CompiledTrace(
+            n_hosts=self.n_hosts,
+            n_mss=self.n_mss,
+            sim_time=self.sim_time,
+            n_events=self.n_events,
+            n_sends=self.n_sends,
+            n_receives=self.n_receives,
+            etype=self._etype,
+            time=self._time,
+            host=self._host,
+            msg_id=self._msg_id,
+            peer=self._peer,
+            cell=self._cell,
+            slot=self._slot,
+            argv=self._argv,
+        )
+
+
 def compile_trace(trace: Trace) -> CompiledTrace:
-    """Lower *trace* into :class:`CompiledTrace` columns.
+    """Lower *trace*'s event list into :class:`CompiledTrace` columns
+    by feeding each event through a :class:`ColumnBuilder`.
 
     Raises
     ------
@@ -166,60 +302,8 @@ def compile_trace(trace: Trace) -> CompiledTrace:
         same conditions :meth:`Trace.validate` rejects, caught here so
         an uncompilable trace never reaches the hot loop.
     """
-    n = len(trace.events)
-    etype: list[int] = [0] * n
-    time: list[float] = [0.0] * n
-    host: list[int] = [0] * n
-    msg_id: list[int] = [0] * n
-    peer: list[int] = [0] * n
-    cell: list[int] = [0] * n
-    slot: list[int] = [-1] * n
-    argv: list[tuple] = [()] * n
-    open_sends: dict[int, int] = {}
-    n_sends = 0
-    n_receives = 0
-    for i, ev in enumerate(trace.events):
-        et = int(ev.etype)
-        etype[i] = et
-        time[i] = ev.time
-        host[i] = ev.host
-        msg_id[i] = ev.msg_id
-        peer[i] = ev.peer
-        cell[i] = ev.cell
-        if et == SEND:
-            if ev.msg_id in open_sends:
-                raise TraceError(f"duplicate send of msg {ev.msg_id}")
-            open_sends[ev.msg_id] = n_sends
-            slot[i] = n_sends
-            n_sends += 1
-            argv[i] = (ev.host, ev.peer, ev.time)
-        elif et == RECEIVE:
-            try:
-                slot[i] = open_sends.pop(ev.msg_id)
-            except KeyError:
-                raise TraceError(
-                    f"receive of msg {ev.msg_id} that was never sent or "
-                    "was already consumed (validate() the trace first)"
-                ) from None
-            n_receives += 1
-            argv[i] = (ev.host, ev.peer, ev.time)
-        elif et == DISCONNECT:
-            argv[i] = (ev.host, ev.time)
-        elif et != INTERNAL:  # CELL_SWITCH / RECONNECT
-            argv[i] = (ev.host, ev.time, ev.cell)
-    return CompiledTrace(
-        n_hosts=trace.n_hosts,
-        n_mss=trace.n_mss,
-        sim_time=trace.sim_time,
-        n_events=n,
-        n_sends=n_sends,
-        n_receives=n_receives,
-        etype=etype,
-        time=time,
-        host=host,
-        msg_id=msg_id,
-        peer=peer,
-        cell=cell,
-        slot=slot,
-        argv=argv,
-    )
+    builder = ColumnBuilder(trace.n_hosts, trace.n_mss, trace.sim_time)
+    feed = builder.feed
+    for ev in trace.events:
+        feed(ev.time, ev.etype, ev.host, ev.msg_id, ev.peer, ev.cell)
+    return builder.finish()

@@ -1,10 +1,10 @@
 """Streaming trace compilation: SoA blocks built incrementally.
 
-:func:`~repro.core.compiled.compile_trace` needs the whole event list
-in memory first -- a :class:`~repro.core.trace.TraceEvent` dataclass
-per event (~300 bytes with object headers) before any column exists.
-That caps trace size at RAM, which the scenario registry's large
-workloads (millions of hosts, long horizons) blow through.
+A :class:`~repro.core.compiled.CompiledTrace` holds every event as
+python objects -- a float, a few ints and an ``argv`` tuple per event,
+over 100 bytes each with object headers.  That caps trace size at RAM,
+which the scenario registry's large workloads (millions of hosts, long
+horizons) blow through.
 
 :class:`StreamingCompiler` accepts events one at a time, stages them in
 plain python lists and flushes a :class:`CompiledBlock` of numpy
@@ -17,16 +17,16 @@ bytes per event); the lowerings (:meth:`StreamedTrace.array_columns`,
 integer in range (numpy raises ``OverflowError`` rather than wrap if a
 feed ever exceeds a column's range).  Peak *staging* memory is
 O(``block_events``) python objects; the total output is the compact
-numpy blocks.  Slot assignment and validation are the same as
-``compile_trace`` -- the same ``open_sends`` matching, the same
-:class:`~repro.core.trace.TraceError` messages -- and
+numpy blocks.  Slot assignment and validation are the in-memory
+:class:`~repro.core.compiled.ColumnBuilder`'s own (the compiler is one),
+and
 :meth:`StreamedTrace.to_compiled` reconstructs a **bit-identical**
 :class:`~repro.core.compiled.CompiledTrace` (``argv`` tuples included),
 which CI gates against the materialized path.
 
 The driver side is :func:`repro.workload.driver.generate_streamed`,
-which feeds the simulation's events here instead of growing
-``Trace.events``.
+which feeds the simulation's events here instead of into the default
+in-memory builder.
 """
 
 from __future__ import annotations
@@ -35,21 +35,16 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.compiled import (
-    DISCONNECT,
     FLOAT_DTYPE,
     INT_DTYPE,
-    INTERNAL,
-    RECEIVE,
-    SEND,
     ArrayColumns,
+    ColumnBuilder,
     CompiledTrace,
+    event_argv,
 )
-from repro.core.trace import TraceError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
-
-    from repro.core.trace import TraceEvent
 
 #: Default events per flushed block: large enough that numpy conversion
 #: amortizes, small enough that staging stays a few MB.
@@ -154,36 +149,10 @@ class StreamedTrace:
         python ints/floats ``compile_trace`` stored, and the ``argv``
         tuples are reassembled per event type from the columns.
         """
-        etype: list[int] = []
-        time: list[float] = []
-        host: list[int] = []
-        msg_id: list[int] = []
-        peer: list[int] = []
-        cell: list[int] = []
-        slot: list[int] = []
-        argv: list[tuple] = []
+        columns: dict[str, list] = {name: [] for name, *_ in _COLUMNS}
         for block in self.blocks:
-            b_etype = block.etype.tolist()
-            b_time = block.time.tolist()
-            b_host = block.host.tolist()
-            b_peer = block.peer.tolist()
-            b_cell = block.cell.tolist()
-            etype.extend(b_etype)
-            time.extend(b_time)
-            host.extend(b_host)
-            msg_id.extend(block.msg_id.tolist())
-            peer.extend(b_peer)
-            cell.extend(b_cell)
-            slot.extend(block.slot.tolist())
-            for i, et in enumerate(b_etype):
-                if et == SEND or et == RECEIVE:
-                    argv.append((b_host[i], b_peer[i], b_time[i]))
-                elif et == DISCONNECT:
-                    argv.append((b_host[i], b_time[i]))
-                elif et == INTERNAL:
-                    argv.append(())
-                else:  # CELL_SWITCH / RECONNECT
-                    argv.append((b_host[i], b_time[i], b_cell[i]))
+            for name, column in columns.items():
+                column.extend(getattr(block, name).tolist())
         return CompiledTrace(
             n_hosts=self.n_hosts,
             n_mss=self.n_mss,
@@ -191,30 +160,32 @@ class StreamedTrace:
             n_events=self.n_events,
             n_sends=self.n_sends,
             n_receives=self.n_receives,
-            etype=etype,
-            time=time,
-            host=host,
-            msg_id=msg_id,
-            peer=peer,
-            cell=cell,
-            slot=slot,
-            argv=argv,
+            argv=event_argv(
+                columns["etype"],
+                columns["time"],
+                columns["host"],
+                columns["peer"],
+                columns["cell"],
+            ),
+            **columns,
         )
 
 
-class StreamingCompiler:
+class StreamingCompiler(ColumnBuilder):
     """Incremental ``compile_trace``: feed events, flush SoA blocks.
 
-    Same slot assignment and validation as the materialized compiler:
-    a duplicate send or an unmatched receive raises
+    A :class:`~repro.core.compiled.ColumnBuilder` whose staged columns
+    are flushed into a numpy :class:`CompiledBlock` every
+    ``block_events`` events, so slot assignment and validation are the
+    builder's own: a duplicate send or an unmatched receive raises
     :class:`~repro.core.trace.TraceError` with the identical message,
-    at feed time (so a broken generator fails as early as possible).
+    at feed time.
 
     Usage::
 
         compiler = StreamingCompiler(n_hosts=10, n_mss=5, sim_time=1e5)
-        for event in source:
-            compiler.feed_event(event)
+        for time, etype, host, msg_id, peer, cell in source:
+            compiler.feed(time, etype, host, msg_id, peer, cell)
         streamed = compiler.finish()
     """
 
@@ -227,26 +198,9 @@ class StreamingCompiler:
     ):
         if block_events < 1:
             raise ValueError("block_events must be >= 1")
-        self.n_hosts = n_hosts
-        self.n_mss = n_mss
-        self.sim_time = sim_time
+        super().__init__(n_hosts, n_mss, sim_time)
         self.block_events = block_events
-        self.n_events = 0
-        self.n_sends = 0
-        self.n_receives = 0
-        self._etype: list[int] = []
-        self._time: list[float] = []
-        self._host: list[int] = []
-        self._msg_id: list[int] = []
-        self._peer: list[int] = []
-        self._cell: list[int] = []
-        self._slot: list[int] = []
         self._blocks: list[CompiledBlock] = []
-        self._open_sends: dict[int, int] = {}
-        self._finished = False
-
-    def __len__(self) -> int:
-        return self.n_events
 
     def feed(
         self,
@@ -258,46 +212,9 @@ class StreamingCompiler:
         cell: int = -1,
     ) -> None:
         """Compile one event (field order mirrors ``TraceEvent``)."""
-        if self._finished:
-            raise TraceError("StreamingCompiler already finished")
-        et = int(etype)
-        slot = -1
-        if et == SEND:
-            if msg_id in self._open_sends:
-                raise TraceError(f"duplicate send of msg {msg_id}")
-            slot = self.n_sends
-            self._open_sends[msg_id] = slot
-            self.n_sends += 1
-        elif et == RECEIVE:
-            try:
-                slot = self._open_sends.pop(msg_id)
-            except KeyError:
-                raise TraceError(
-                    f"receive of msg {msg_id} that was never sent or "
-                    "was already consumed (validate() the trace first)"
-                ) from None
-            self.n_receives += 1
-        self._etype.append(et)
-        self._time.append(time)
-        self._host.append(host)
-        self._msg_id.append(msg_id)
-        self._peer.append(peer)
-        self._cell.append(cell)
-        self._slot.append(slot)
-        self.n_events += 1
+        ColumnBuilder.feed(self, time, etype, host, msg_id, peer, cell)
         if len(self._etype) >= self.block_events:
             self._flush()
-
-    def feed_event(self, event: "TraceEvent") -> None:
-        """Compile one :class:`~repro.core.trace.TraceEvent`."""
-        self.feed(
-            event.time,
-            event.etype,
-            event.host,
-            event.msg_id,
-            event.peer,
-            event.cell,
-        )
 
     def _flush(self) -> None:
         if not self._etype:
@@ -315,13 +232,11 @@ class StreamingCompiler:
                 slot=np.asarray(self._slot, dtype="int32"),
             )
         )
-        self._etype.clear()
-        self._time.clear()
-        self._host.clear()
-        self._msg_id.clear()
-        self._peer.clear()
-        self._cell.clear()
-        self._slot.clear()
+        for column in (
+            self._etype, self._time, self._host, self._msg_id,
+            self._peer, self._cell, self._slot, self._argv,
+        ):
+            column.clear()
 
     def finish(self) -> StreamedTrace:
         """Flush the tail block and seal the compiler.

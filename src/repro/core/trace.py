@@ -3,7 +3,8 @@
 The paper evaluates all protocols under instantaneous checkpoint
 insertion, which makes the application/mobility schedule independent of
 the protocol under study.  A :class:`Trace` captures that schedule once
--- as a time-ordered sequence of :class:`TraceEvent` records -- and
+-- as a time-ordered sequence of :class:`TraceEvent` records, held as
+compiled columns until something reads them as objects -- and
 every protocol is then replayed over the *same* trace
 (:mod:`repro.core.replay`), giving pointwise-comparable checkpoint
 counts exactly like the paper's common-random-numbers simulation.
@@ -12,8 +13,11 @@ counts exactly like the paper's common-random-numbers simulation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.compiled import CompiledTrace
 
 
 class EventType(enum.IntEnum):
@@ -59,9 +63,19 @@ class TraceError(ValueError):
     """A structurally invalid trace (unmatched receive, bad ordering...)."""
 
 
-@dataclass
+#: Event-type code -> member, for materializing events from columns
+#: (the codes are 0..5 in definition order).
+_ETYPES = tuple(EventType)
+
+
 class Trace:
     """A validated, time-ordered event schedule.
+
+    A trace is backed by either an event list or its compiled columns
+    (:class:`~repro.core.compiled.CompiledTrace`).  Generated and loaded
+    traces are column-backed (:meth:`from_compiled`): ``events`` is then
+    materialized on first access and cached, and ``len(trace)`` never
+    materializes it.
 
     Parameters
     ----------
@@ -75,37 +89,103 @@ class Trace:
         Arbitrary generation parameters (seed, workload config, ...).
     """
 
-    n_hosts: int
-    n_mss: int
-    events: list[TraceEvent] = field(default_factory=list)
-    sim_time: float = 0.0
-    meta: dict[str, Any] = field(default_factory=dict)
+    def __init__(
+        self,
+        n_hosts: int,
+        n_mss: int,
+        events: Optional[list[TraceEvent]] = None,
+        sim_time: float = 0.0,
+        meta: Optional[dict[str, Any]] = None,
+    ):
+        self.n_hosts = n_hosts
+        self.n_mss = n_mss
+        self._events = [] if events is None else events
+        self.sim_time = sim_time
+        self.meta = {} if meta is None else meta
+
+    @classmethod
+    def from_compiled(
+        cls, compiled: "CompiledTrace", meta: Optional[dict[str, Any]] = None
+    ) -> "Trace":
+        """A column-backed trace over *compiled*, which also seeds the
+        :meth:`compiled` cache."""
+        trace = cls(
+            compiled.n_hosts, compiled.n_mss, None, compiled.sim_time, meta
+        )
+        trace._events = None
+        trace._compiled_cache = (compiled.n_events, compiled)
+        return trace
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        """The event list, materialized from the columns on first use."""
+        if self._events is None:
+            ct = self._compiled_cache[1]
+            self._events = [
+                TraceEvent(t, _ETYPES[e], h, m, p, c)
+                for t, e, h, m, p, c in zip(
+                    ct.time, ct.etype, ct.host, ct.msg_id, ct.peer, ct.cell
+                )
+            ]
+        return self._events
+
+    @events.setter
+    def events(self, events: list[TraceEvent]) -> None:
+        self._events = events
 
     def __len__(self) -> int:
-        return len(self.events)
+        if self._events is None:
+            return self._compiled_cache[0]
+        return len(self._events)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.n_hosts,
+            self.n_mss,
+            self.sim_time,
+            self.meta,
+            self.events,
+        ) == (
+            other.n_hosts,
+            other.n_mss,
+            other.sim_time,
+            other.meta,
+            other.events,
+        )
+
+    __hash__ = None  # mutable, like the event list it wraps
+
+    def __repr__(self) -> str:
+        return (
+            f"Trace(n_hosts={self.n_hosts}, n_mss={self.n_mss}, "
+            f"n_events={len(self)}, sim_time={self.sim_time!r}, "
+            f"meta={self.meta!r})"
+        )
 
     # ------------------------------------------------------------------
     def compiled(self):
         """Structure-of-arrays view of this trace, compiled lazily and
         cached on the instance (see :mod:`repro.core.compiled`).
 
-        The cache is keyed on ``len(self.events)``: appending events
-        triggers a recompile, but in-place event *replacement* (which
-        nothing in the codebase does -- traces are effectively frozen
-        once generated) would go unnoticed.
+        The cache is keyed on ``len(self)``: appending events triggers
+        a recompile, but in-place event *replacement* (which nothing in
+        the codebase does -- traces are effectively frozen once
+        generated) would go unnoticed.
         """
         from repro.core.compiled import CompiledTrace, compile_trace
 
         cached: Optional[tuple[int, CompiledTrace]] = getattr(
             self, "_compiled_cache", None
         )
-        if cached is not None and cached[0] == len(self.events):
+        if cached is not None and cached[0] == len(self):
             return cached[1]
         compiled = compile_trace(self)
-        self._compiled_cache = (len(self.events), compiled)
+        self._compiled_cache = (len(self), compiled)
         return compiled
 
     # ------------------------------------------------------------------

@@ -23,7 +23,13 @@ from typing import Union
 
 import numpy as np
 
-from repro.core.compiled import FLOAT_DTYPE, INT_DTYPE, ArrayColumns
+from repro.core.compiled import (
+    FLOAT_DTYPE,
+    INT_DTYPE,
+    ArrayColumns,
+    CompiledTrace,
+    event_argv,
+)
 from repro.core.trace import EventType, Trace, TraceEvent
 
 #: Format version written into every file.  v2 stores the *compiled*
@@ -161,20 +167,28 @@ def _load_trace_inner(path: Path, verify: bool) -> Trace:
                 f"(expected 1..{FORMAT_VERSION})"
             )
         names = _V2_COLUMNS if version >= 2 else _V1_COLUMNS
+        # Each npz member decompresses on every access: read each once.
+        arrays = {name: data[name] for name in names}
         if verify:
             if "digest" not in data.files:
                 raise TraceDigestMissing(
                     f"trace file {path} has no stored digest (written "
                     f"before checksums existed) and cannot be verified"
                 )
-            columns = tuple(data[name] for name in names)
             stored = bytes(data["digest"]).decode("ascii")
-            computed = _column_digest(header_json, columns)
+            computed = _column_digest(
+                header_json, tuple(arrays[name] for name in names)
+            )
             if stored != computed:
                 raise TraceIntegrityError(
                     f"trace file {path} failed checksum verification "
                     f"(stored {stored!r}, computed {computed[:16]}...)"
                 )
+    n_hosts = int(header["n_hosts"])
+    n_mss = int(header["n_mss"])
+    sim_time = float(header["sim_time"])
+    meta = dict(header["meta"])
+    if version < 2:
         events = [
             TraceEvent(
                 time=float(t),
@@ -184,40 +198,44 @@ def _load_trace_inner(path: Path, verify: bool) -> Trace:
                 peer=int(p),
                 cell=int(c),
             )
-            for t, e, h, m, p, c in zip(
-                data["time"],
-                data["etype"],
-                data["host"],
-                data["msg_id"],
-                data["peer"],
-                data["cell"],
-            )
+            for t, e, h, m, p, c in zip(*(arrays[name] for name in names))
         ]
-        trace = Trace(
-            n_hosts=int(header["n_hosts"]),
-            n_mss=int(header["n_mss"]),
-            events=events,
-            sim_time=float(header["sim_time"]),
-            meta=dict(header["meta"]),
-        )
-        if version >= 2:
-            # The stored columns *are* the compiled arrays: seed the
-            # per-trace cache so the vectorized engine starts from them
-            # without re-lowering (or re-matching sends to receives).
-            cols = ArrayColumns(
-                n_hosts=trace.n_hosts,
-                n_mss=trace.n_mss,
-                sim_time=trace.sim_time,
-                n_events=len(events),
-                n_sends=int(header["n_sends"]),
-                n_receives=int(header["n_receives"]),
-                etype=np.asarray(data["etype"], dtype=INT_DTYPE),
-                time=np.asarray(data["time"], dtype=FLOAT_DTYPE),
-                host=np.asarray(data["host"], dtype=INT_DTYPE),
-                msg_id=np.asarray(data["msg_id"], dtype=INT_DTYPE),
-                peer=np.asarray(data["peer"], dtype=INT_DTYPE),
-                cell=np.asarray(data["cell"], dtype=INT_DTYPE),
-                slot=np.asarray(data["slot"], dtype=INT_DTYPE),
+        return Trace(n_hosts, n_mss, events, sim_time, meta)
+    # The stored columns *are* the compiled trace: rebuild its list
+    # columns (slot included, so sends are not re-matched) and seed the
+    # array-column cache so the vectorized engine starts from the
+    # arrays without re-lowering.
+    cols = ArrayColumns(
+        n_hosts=n_hosts,
+        n_mss=n_mss,
+        sim_time=sim_time,
+        n_events=int(arrays["etype"].shape[0]),
+        n_sends=int(header["n_sends"]),
+        n_receives=int(header["n_receives"]),
+        **{
+            name: np.asarray(
+                arrays[name], dtype=FLOAT_DTYPE if name == "time" else INT_DTYPE
             )
-            trace._array_columns_cache = (len(events), cols)
+            for name in names
+        },
+    )
+    etype = cols.etype
+    if cols.n_events and not 0 <= etype.min() <= etype.max() < len(EventType):
+        raise ValueError(f"trace file {path} holds an unknown event type")
+    lists = {name: getattr(cols, name).tolist() for name in names}
+    compiled = CompiledTrace(
+        n_hosts=n_hosts,
+        n_mss=n_mss,
+        sim_time=sim_time,
+        n_events=cols.n_events,
+        n_sends=cols.n_sends,
+        n_receives=cols.n_receives,
+        argv=event_argv(
+            lists["etype"], lists["time"], lists["host"], lists["peer"],
+            lists["cell"],
+        ),
+        **lists,
+    )
+    trace = Trace.from_compiled(compiled, meta)
+    trace._array_columns_cache = (cols.n_events, cols)
     return trace

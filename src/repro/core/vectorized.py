@@ -379,10 +379,10 @@ def vectorized_trace(trace: Trace) -> VectorizedTrace:
     """Single-block :class:`VectorizedTrace` of *trace*, cached on the
     instance like :meth:`Trace.compiled` (keyed on the event count)."""
     cached = getattr(trace, "_vectorized_cache", None)
-    if cached is not None and cached[0] == len(trace.events):
+    if cached is not None and cached[0] == len(trace):
         return cached[1]
     vt = VectorizedTrace.from_traces([trace])
-    trace._vectorized_cache = (len(trace.events), vt)
+    trace._vectorized_cache = (len(trace), vt)
     return vt
 
 

@@ -4,7 +4,8 @@ A lean, deterministic kernel with two names:
 
 * :class:`~repro.des.core.Environment` -- the simulation clock and a
   flat heap agenda of ``(time, seq, callback)`` tuples, driven by
-  ``call_later(delay, fn)`` and ``run(until)``.
+  ``call_later(delay, fn)`` and ``run(until)``; ``close()`` drops the
+  pending agenda once a run is over.
 * :class:`~repro.des.rng.RandomStreams` -- reproducible named random
   substreams built on :class:`numpy.random.SeedSequence`.
 

@@ -65,6 +65,18 @@ class Environment:
         if until is not None:
             self.now = limit
 
+    def close(self) -> None:
+        """Drop every pending callback; ``event_count`` is unchanged.
+
+        Pending callbacks usually reference the objects that scheduled
+        them, which reference this environment: dropping them when a
+        run is over lets reference counting free the finished
+        simulation at once, instead of leaving it to the cyclic
+        garbage collector.
+        """
+        self._seq -= len(self._queue)
+        self._queue.clear()
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<Environment now={self.now} pending={len(self._queue)} "

@@ -14,7 +14,8 @@ timers, mobility, message destinations, ...) draws from its own
 from __future__ import annotations
 
 import zlib
-from typing import Iterator, Sequence
+from array import array
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,9 +54,11 @@ class RandomStreams:
             raise TypeError(f"seed must be an int, got {seed!r}")
         self.seed = int(seed)
         self._streams: dict[str, np.random.Generator] = {}
-        self._exp_buf: dict[str, tuple[np.ndarray, int]] = {}
-        self._unit_buf: dict[str, tuple[np.ndarray, int]] = {}
-        self._int_buf: dict[tuple[str, int], tuple[np.ndarray, int]] = {}
+        #: Bound ``__next__`` of each buffered draw source, per stream
+        #: name (per ``(name, k)`` for integer draws).
+        self._exp_next: dict[str, Callable[[], float]] = {}
+        self._unit_next: dict[str, Callable[[], float]] = {}
+        self._int_next: dict[tuple[str, int], Callable[[], int]] = {}
 
     def stream(self, name: str) -> np.random.Generator:
         """Return (and memoise) the generator for *name*."""
@@ -71,39 +74,59 @@ class RandomStreams:
     # -- convenience draws -------------------------------------------------
     # Draws are buffered (BATCH at a time) per stream name; the value
     # sequence per name is still fully determined by (seed, name, call
-    # order), so runs stay reproducible.
+    # order), so runs stay reproducible.  A buffer refills from its
+    # generator only when a draw finds it empty, so draw kinds sharing
+    # one generator interleave their refills in call order.
 
-    def _next_unit_exponential(self, name: str) -> float:
-        buf = self._exp_buf.get(name)
-        if buf is None or buf[1] >= self.BATCH:
-            buf = (self.stream(name).exponential(1.0, self.BATCH), 0)
-        value = buf[0][buf[1]]
-        self._exp_buf[name] = (buf[0], buf[1] + 1)
-        return float(value)
+    def _source(self, draw: Callable[[int], np.ndarray], code: str) -> Callable:
+        """Bound ``__next__`` over ``draw(BATCH)`` batches as python
+        scalars, drawing the next batch when one runs out.
 
-    def _next_unit_uniform(self, name: str) -> float:
-        buf = self._unit_buf.get(name)
-        if buf is None or buf[1] >= self.BATCH:
-            buf = (self.stream(name).random(self.BATCH), 0)
-        value = buf[0][buf[1]]
-        self._unit_buf[name] = (buf[0], buf[1] + 1)
-        return float(value)
+        A batch is held as an ``array.array`` of *code* (``"d"`` for
+        float64, ``"q"`` for int64 draws): the same 8 bytes per draw as
+        the numpy batch, with python scalars made on the way out.
+        """
+        # Read once: a generator frame that referenced ``self`` would
+        # put every RandomStreams in a reference cycle.
+        size = self.BATCH
+
+        def batches():
+            while True:
+                yield from array(code, draw(size).tobytes())
+
+        return batches().__next__
+
+    def _exp_source(self, name: str) -> Callable[[], float]:
+        gen = self.stream(name)
+        nxt = self._exp_next[name] = self._source(
+            lambda size: gen.exponential(1.0, size), "d"
+        )
+        return nxt
+
+    def _unit_source(self, name: str) -> Callable[[], float]:
+        nxt = self._unit_next[name] = self._source(
+            self.stream(name).random, "d"
+        )
+        return nxt
 
     def exponential(self, name: str, mean: float) -> float:
         """One draw from Exp(mean) on stream *name*."""
         if mean <= 0:
             raise ValueError(f"exponential mean must be positive, got {mean}")
-        return self._next_unit_exponential(name) * mean
+        nxt = self._exp_next.get(name) or self._exp_source(name)
+        return nxt() * mean
 
     def uniform(self, name: str, low: float = 0.0, high: float = 1.0) -> float:
         """One draw from U[low, high) on stream *name*."""
-        return low + (high - low) * self._next_unit_uniform(name)
+        nxt = self._unit_next.get(name) or self._unit_source(name)
+        return low + (high - low) * nxt()
 
     def bernoulli(self, name: str, p: float) -> bool:
         """One biased coin flip with success probability *p*."""
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {p}")
-        return self._next_unit_uniform(name) < p
+        nxt = self._unit_next.get(name) or self._unit_source(name)
+        return nxt() < p
 
     def choice_other(self, name: str, n: int, exclude: int) -> int:
         """Uniform draw from ``{0..n-1} - {exclude}``.
@@ -124,12 +147,13 @@ class RandomStreams:
         if k < 1:
             raise ValueError(f"need at least 1 alternative, got k={k}")
         key = (name, k)
-        buf = self._int_buf.get(key)
-        if buf is None or buf[1] >= self.BATCH:
-            buf = (self.stream(name).integers(0, k, self.BATCH), 0)
-        value = int(buf[0][buf[1]])
-        self._int_buf[key] = (buf[0], buf[1] + 1)
-        return value
+        nxt = self._int_next.get(key)
+        if nxt is None:
+            gen = self.stream(name)
+            nxt = self._int_next[key] = self._source(
+                lambda size: gen.integers(0, k, size, dtype=np.int64), "q"
+            )
+        return nxt()
 
     def spawn_seeds(self, name: str, count: int) -> list[int]:
         """Derive *count* child seeds (for multi-run sweeps / workers)."""

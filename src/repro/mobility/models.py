@@ -67,22 +67,26 @@ class PaperMobilityModel:
         self.p_switch = p_switch
         self.disconnect_mean = disconnect_mean
         self.divisor = disconnect_residence_divisor
+        hosts = range(len(self.residence_means))
+        self._decide_stream = [f"mobility/decide/{h}" for h in hosts]
+        self._residence_stream = [f"mobility/residence/{h}" for h in hosts]
+        self._away_stream = [f"mobility/away/{h}" for h in hosts]
 
     def decide(self, host: int, rng: RandomStreams) -> MobilityDecision:
         """Draw the next move for *host* on entering a cell."""
         mean = self.residence_means[host]
-        if rng.bernoulli(f"mobility/decide/{host}", self.p_switch):
+        if rng.bernoulli(self._decide_stream[host], self.p_switch):
             return MobilityDecision(
                 kind=MoveKind.SWITCH,
-                residence=rng.exponential(f"mobility/residence/{host}", mean),
+                residence=rng.exponential(self._residence_stream[host], mean),
             )
         return MobilityDecision(
             kind=MoveKind.DISCONNECT,
             residence=rng.exponential(
-                f"mobility/residence/{host}", mean / self.divisor
+                self._residence_stream[host], mean / self.divisor
             ),
             away_time=rng.exponential(
-                f"mobility/away/{host}", self.disconnect_mean
+                self._away_stream[host], self.disconnect_mean
             ),
         )
 
@@ -106,9 +110,13 @@ class UniformCellChooser(CellChooser):
         if n_mss < 2:
             raise ValueError("uniform switching needs at least 2 cells")
         self.n_mss = n_mss
+        self._streams: dict[int, str] = {}
 
     def next_cell(self, host: int, current: int, rng: RandomStreams) -> int:
-        return rng.choice_other(f"mobility/cell/{host}", self.n_mss, current)
+        name = self._streams.get(host)
+        if name is None:
+            name = self._streams[host] = f"mobility/cell/{host}"
+        return rng.choice_other(name, self.n_mss, current)
 
 
 class GraphWalkCellChooser(CellChooser):

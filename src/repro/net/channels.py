@@ -11,9 +11,11 @@ checkpoint counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from repro.des.core import Environment
+from repro.net.message import Message, MessageKind
 
 
 @dataclass
@@ -67,19 +69,20 @@ class Channel:
 
     def transmit(
         self,
-        message,
-        deliver: Callable[[object], None],
+        message: Message,
+        deliver: Callable[[Message], None],
         extra_delay: float = 0.0,
     ) -> None:
         """Send *message* through the channel; call ``deliver(message)``
         after the channel latency (plus *extra_delay*)."""
-        self.stats.messages += 1
-        if not getattr(message, "is_application", False):
-            self.stats.control_messages += 1
-        self.stats.piggyback_ints += getattr(message, "piggyback_ints", 0)
-        self.stats.busy_time += self.latency
+        stats = self.stats
+        stats.messages += 1
+        if message.kind is not MessageKind.APPLICATION:
+            stats.control_messages += 1
+        stats.piggyback_ints += message.piggyback_ints
+        stats.busy_time += self.latency
         message.hops += 1
-        self.env.call_later(self.latency + extra_delay, lambda: deliver(message))
+        self.env.call_later(self.latency + extra_delay, partial(deliver, message))
 
 
 def total_stats(channels: list[Channel]) -> ChannelStats:

@@ -44,7 +44,8 @@ class MobileHost:
         "env",
         "host_id",
         "mss_id",
-        "state",
+        "_state",
+        "is_connected",
         "inbox",
         "_waiter",
         "sent_count",
@@ -58,6 +59,10 @@ class MobileHost:
         self.env = env
         self.host_id = host_id
         self.mss_id = mss_id
+        #: True while the host is reachable in some cell; kept in sync
+        #: by the :attr:`state` setter (a plain slot: the workload
+        #: reads it on every application step).
+        self.is_connected = True
         self.state = HostState.ACTIVE
         #: Application messages delivered over the air, awaiting an
         #: explicit receive operation (oldest first).
@@ -72,9 +77,14 @@ class MobileHost:
         self.wireless_sends = 0
 
     @property
-    def is_connected(self) -> bool:
-        """True while the host is reachable in some cell."""
-        return self.state is HostState.ACTIVE
+    def state(self) -> HostState:
+        """Connection state; setting it updates :attr:`is_connected`."""
+        return self._state
+
+    @state.setter
+    def state(self, state: HostState) -> None:
+        self._state = state
+        self.is_connected = state is HostState.ACTIVE
 
     def try_receive(self) -> Optional["Message"]:
         """Consume the oldest inbox message, or ``None`` if empty.

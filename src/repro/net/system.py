@@ -24,6 +24,7 @@ suppressed at the destination like a transport layer would).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.des.core import Environment
@@ -118,6 +119,9 @@ class MobileSystem:
         self.control_message_count = 0
         self.checkpoint_fetches = 0
         self.duplicates_suppressed = 0
+        #: Bumped on every disconnect and reconnect, so callers can
+        #: cache views of the connected set (see :meth:`connected_hosts`).
+        self.connectivity_version = 0
 
     # ------------------------------------------------------------------
     # application traffic
@@ -156,7 +160,7 @@ class MobileSystem:
         sender.wireless_sends += 1
         # Leg 1: wireless up to the sender's current MSS.
         up = self.wireless[sender.mss_id]
-        up.transmit(msg, lambda m, mss=sender.mss_id: self._at_mss(m, mss))
+        up.transmit(msg, partial(self._at_mss, mss_id=sender.mss_id))
         return msg
 
     def _at_mss(self, msg: Message, mss_id: int) -> None:
@@ -173,21 +177,19 @@ class MobileSystem:
             if home == mss_id:
                 self.stations[mss_id].buffer_message(msg)
             else:
-                self.wired.transmit(
-                    msg, lambda m, h=home: self._buffer_at(m, h)
-                )
+                self.wired.transmit(msg, partial(self._buffer_at, mss_id=home))
             return
         if current == mss_id:
             # Leg 3: wireless down into the destination's cell.
             self.wireless[mss_id].transmit(
-                msg, lambda m, c=mss_id: self._deliver(m, c)
+                msg, partial(self._deliver, cell=mss_id)
             )
             return
         # Leg 2: wired transfer towards the destination's current MSS.
         if msg.hops > 1:  # this MSS is not the first wired stop: a forward
             self.directory.note_forward()
             self.stations[mss_id].forwarded_messages += 1
-        self.wired.transmit(msg, lambda m, c=current: self._at_mss(m, c))
+        self.wired.transmit(msg, partial(self._at_mss, mss_id=current))
         if self.params.duplicate_prob > 0.0 and self.rng.bernoulli(
             "net/duplicates", self.params.duplicate_prob
         ):
@@ -201,7 +203,7 @@ class MobileSystem:
                 msg_id=msg.msg_id,  # same identity: a true duplicate
             )
             dup.sent_at = msg.sent_at
-            self.wired.transmit(dup, lambda m, c=current: self._at_mss(m, c))
+            self.wired.transmit(dup, partial(self._at_mss, mss_id=current))
 
     def _buffer_at(self, msg: Message, mss_id: int) -> None:
         host_mss = self.directory.locate(msg.dst)  # may have reconnected
@@ -262,6 +264,7 @@ class MobileSystem:
         self._send_control(host_id, host.mss_id, ControlKind.DISCONNECT)
         self.stations[host.mss_id].deregister(host_id)
         host.state = HostState.DISCONNECTED
+        self.connectivity_version += 1
         host.disconnect_count += 1
         self.directory.disconnected(host_id)
 
@@ -280,6 +283,7 @@ class MobileSystem:
         if not 0 <= target < self.params.n_mss:
             raise ValueError(f"unknown MSS {target}")
         host.state = HostState.ACTIVE
+        self.connectivity_version += 1
         host.mss_id = target
         self.stations[target].register(host_id)
         self.directory.reconnected(host_id, target)
@@ -288,10 +292,10 @@ class MobileSystem:
         pending = self.stations[home].drain_buffer(host_id)
         for msg in pending:
             if home != target:
-                self.wired.transmit(msg, lambda m, t=target: self._at_mss(m, t))
+                self.wired.transmit(msg, partial(self._at_mss, mss_id=target))
             else:
                 self.wireless[target].transmit(
-                    msg, lambda m, c=target: self._deliver(m, c)
+                    msg, partial(self._deliver, cell=target)
                 )
 
     def _send_control(self, host_id: int, mss_id: int, kind: ControlKind) -> None:
@@ -383,7 +387,8 @@ class MobileSystem:
 
     # ------------------------------------------------------------------
     def connected_hosts(self) -> list[int]:
-        """Ids of currently connected hosts."""
+        """Ids of currently connected hosts (the set changes only when
+        :attr:`connectivity_version` does)."""
         return [h.host_id for h in self.hosts if h.is_connected]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

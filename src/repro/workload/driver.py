@@ -27,23 +27,34 @@ Both loops consult the config's registered *workload model*
 delays, destination choice, residence scaling.  The default ``"paper"``
 model reproduces the hard-coded behaviour above bit-identically.
 
-A third entry point, :func:`generate_streamed`, runs the same
-simulation but hands each event to a
-:class:`~repro.core.streamed.StreamingCompiler` instead of growing the
-in-memory event list -- compiled SoA blocks come out the other side
-with O(block) staging memory.
+Events never exist as objects here: the driver feeds each one's fields
+into a column *sink* -- an in-memory
+:class:`~repro.core.compiled.ColumnBuilder` by default, whose columns
+become the returned trace's compiled form.  A third entry point,
+:func:`generate_streamed`, runs the same simulation into a
+:class:`~repro.core.streamed.StreamingCompiler` instead -- compiled SoA
+blocks come out the other side with O(block) staging memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.streamed import StreamedTrace
 
+from repro.core.compiled import (
+    CELL_SWITCH,
+    DISCONNECT,
+    RECEIVE,
+    RECONNECT,
+    SEND,
+    ColumnBuilder,
+)
 from repro.core.metrics import CheckpointStats, ProtocolRunMetrics
-from repro.core.trace import EventType, Trace, TraceEvent
+from repro.core.trace import Trace
 from repro.des.core import Environment
 from repro.des.rng import RandomStreams
 from repro.mobility.heterogeneity import residence_means
@@ -109,7 +120,7 @@ class _Driver:
         protocol: Optional[CheckpointingProtocol] = None,
         ckpt_latency: float = 0.0,
         gc_interval: Optional[float] = None,
-        event_sink: Optional[Callable[[TraceEvent], None]] = None,
+        sink: Optional[ColumnBuilder] = None,
     ):
         config.validate()
         if ckpt_latency < 0:
@@ -154,13 +165,26 @@ class _Driver:
         from repro.workload.registry import make_workload
 
         self.model = make_workload(config)
-        self._others_cache: dict[int, _AllOthers] = {}
-        self.events: list[TraceEvent] = []
-        #: Where emitted events go: the in-memory list by default, a
-        #: caller-supplied sink (e.g. a StreamingCompiler) otherwise.
-        self._emit = (
-            self.events.append if event_sink is None else event_sink
+        #: Where emitted events go: an in-memory column builder by
+        #: default, a caller-supplied one (e.g. a StreamingCompiler)
+        #: otherwise.  Events are fed as plain fields, never objects.
+        self.sink = (
+            ColumnBuilder(config.n_hosts, config.n_mss, config.sim_time)
+            if sink is None
+            else sink
         )
+        self._feed = self.sink.feed
+        hosts = range(config.n_hosts)
+        self._op_stream = [f"app/op/{h}" for h in hosts]
+        self._pages_stream = [f"app/pages/{h}" for h in hosts]
+        #: Per-host app-step and cell-switch callbacks, bound once.
+        self._app_callback = [partial(self._app_step, h) for h in hosts]
+        self._switch_callback = [partial(self._do_switch, h) for h in hosts]
+        #: Destination candidates per sender: every other host, or (under
+        #: ``send_to_connected_only``) the connected others, rebuilt when
+        #: the system's connectivity version moves.
+        self._candidates: dict[int, object] = {}
+        self._candidates_version = -1
         self._app_paused = [False] * config.n_hosts
         self.n_sends = 0
         self.n_receives = 0
@@ -256,7 +280,7 @@ class _Driver:
         delay = (
             self.model.arrival_delay(host, self.rng, self.env.now) + extra
         )
-        self.env.call_later(delay, lambda: self._app_step(host))
+        self.env.call_later(delay, self._app_callback[host])
 
     def _app_step(self, host: int) -> None:
         h = self.system.hosts[host]
@@ -266,10 +290,10 @@ class _Driver:
         if self._checkpointers is not None and self.config.dirty_pages_per_op:
             # the internal event mutates part of the host's state
             self._checkpointers[host].state.touch_random(
-                self.rng.stream(f"app/pages/{host}"),
+                self.rng.stream(self._pages_stream[host]),
                 self.config.dirty_pages_per_op,
             )
-        if self.rng.bernoulli(f"app/op/{host}", self.config.p_send):
+        if self.rng.bernoulli(self._op_stream[host], self.config.p_send):
             self._do_send(host)
             self._schedule_app(host, extra=self._ckpt_pause(host))
         else:
@@ -287,56 +311,54 @@ class _Driver:
         self._consume(host, msg)
         self._schedule_app(host, extra=self._ckpt_pause(host))
 
-    def _do_send(self, host: int) -> None:
-        if self.config.send_to_connected_only:
-            others = [
-                h for h in self.system.connected_hosts() if h != host
-            ]
-            if not others:
-                return  # nobody reachable: the send operation is a no-op
-        else:
-            others = self._others_cache.get(host)
+    def _send_candidates(self, host: int):
+        """Ascending destination ids *host* may send to (possibly empty)."""
+        if not self.config.send_to_connected_only:
+            others = self._candidates.get(host)
             if others is None:
-                others = self._others_cache[host] = _AllOthers(
+                others = self._candidates[host] = _AllOthers(
                     self.config.n_hosts, host
                 )
-        dst = self.model.choose_destination(
-            host, others, self.rng, self.env.now
-        )
+            return others
+        version = self.system.connectivity_version
+        if version != self._candidates_version:
+            self._candidates.clear()
+            self._candidates_version = version
+        others = self._candidates.get(host)
+        if others is None:
+            others = self._candidates[host] = tuple(
+                h for h in self.system.connected_hosts() if h != host
+            )
+        return others
+
+    def _do_send(self, host: int) -> Optional[int]:
+        """One send operation; the sent message's id, or ``None`` when
+        the operation was a no-op."""
+        others = self._send_candidates(host)
+        if not others:
+            return None  # nobody reachable: the send operation is a no-op
+        now = self.env.now
+        dst = self.model.choose_destination(host, others, self.rng, now)
         if dst is None:
-            return  # the model dropped the send: a no-op
+            return None  # the model dropped the send: a no-op
         piggyback = {}
         pg_ints = 0
         if self.protocol is not None:
-            piggyback = {"pg": self.protocol.on_send(host, dst, self.env.now)}
+            piggyback = {"pg": self.protocol.on_send(host, dst, now)}
             pg_ints = self.protocol.piggyback_ints
         msg = self.system.send_application(
             host, dst, piggyback=piggyback, piggyback_ints=pg_ints
         )
         self.n_sends += 1
-        self._emit(
-            TraceEvent(
-                time=self.env.now,
-                etype=EventType.SEND,
-                host=host,
-                msg_id=msg.msg_id,
-                peer=dst,
-            )
-        )
+        self._feed(now, SEND, host, msg.msg_id, dst)
+        return msg.msg_id
 
     def _consume(self, host: int, msg) -> None:
+        now = self.env.now
         if self.protocol is not None:
-            self.protocol.on_receive(host, msg.piggyback["pg"], msg.src, self.env.now)
+            self.protocol.on_receive(host, msg.piggyback["pg"], msg.src, now)
         self.n_receives += 1
-        self._emit(
-            TraceEvent(
-                time=self.env.now,
-                etype=EventType.RECEIVE,
-                host=host,
-                msg_id=msg.msg_id,
-                peer=msg.src,
-            )
-        )
+        self._feed(now, RECEIVE, host, msg.msg_id, msg.src)
 
     # ------------------------------------------------------------------
     # mobility loop
@@ -349,47 +371,34 @@ class _Driver:
             host, self.env.now
         )
         if decision.kind is MoveKind.SWITCH:
-            self.env.call_later(residence, lambda: self._do_switch(host))
+            self.env.call_later(residence, self._switch_callback[host])
         else:
             self.env.call_later(
                 residence,
-                lambda: self._do_disconnect(host, decision.away_time),
+                partial(self._do_disconnect, host, decision.away_time),
             )
 
     def _do_switch(self, host: int) -> None:
+        now = self.env.now
         old = self.system.hosts[host].mss_id
         new = self.chooser.next_cell(host, old, self.rng)
-        self._emit(
-            TraceEvent(
-                time=self.env.now,
-                etype=EventType.CELL_SWITCH,
-                host=host,
-                peer=old,
-                cell=new,
-            )
-        )
+        self._feed(now, CELL_SWITCH, host, -1, old, new)
         if self.protocol is not None:
-            self.protocol.on_cell_switch(host, self.env.now, new)
+            self.protocol.on_cell_switch(host, now, new)
         self.system.switch_cell(host, new)
         self._enter_cell(host)
 
     def _do_disconnect(self, host: int, away_time: float) -> None:
-        self._emit(
-            TraceEvent(time=self.env.now, etype=EventType.DISCONNECT, host=host)
-        )
+        self._feed(self.env.now, DISCONNECT, host)
         if self.protocol is not None:
             self.protocol.on_disconnect(host, self.env.now)
         self.system.disconnect(host)
-        self.env.call_later(away_time, lambda: self._do_reconnect(host))
+        self.env.call_later(away_time, partial(self._do_reconnect, host))
 
     def _do_reconnect(self, host: int) -> None:
         self.system.reconnect(host)
         cell = self.system.hosts[host].mss_id
-        self._emit(
-            TraceEvent(
-                time=self.env.now, etype=EventType.RECONNECT, host=host, cell=cell
-            )
-        )
+        self._feed(self.env.now, RECONNECT, host, -1, -1, cell)
         if self.protocol is not None:
             self.protocol.on_reconnect(host, self.env.now, cell)
         if self._app_paused[host]:
@@ -423,16 +432,17 @@ class _Driver:
                 )
             self.env.call_later(self.gc_interval, self._gc_tick)
         self.env.run(until=self.config.sim_time)
+        # The run is over.  The pending agenda and the per-host
+        # callbacks reference this driver: drop them so the finished
+        # simulation is freed by reference counting, not left for the
+        # cyclic garbage collector to find cells later.
+        self.env.close()
+        self._app_callback = self._switch_callback = ()
 
     def run(self) -> Trace:
+        """Run the simulation; the column-backed trace it emitted."""
         self._run_sim()
-        return Trace(
-            n_hosts=self.config.n_hosts,
-            n_mss=self.config.n_mss,
-            events=self.events,
-            sim_time=self.config.sim_time,
-            meta=self.config.meta(),
-        )
+        return Trace.from_compiled(self.sink.finish(), self.config.meta())
 
 
 def generate_trace(config: WorkloadConfig) -> Trace:
@@ -454,11 +464,10 @@ def generate_streamed(
     Equivalent to ``compile_trace(generate_trace(config))`` -- the
     returned :class:`~repro.core.streamed.StreamedTrace` reconstructs a
     bit-identical :class:`~repro.core.compiled.CompiledTrace` -- but
-    the event list is never materialized: each
-    :class:`~repro.core.trace.TraceEvent` goes straight into a
-    :class:`~repro.core.streamed.StreamingCompiler` and is dropped, so
-    peak staging memory is O(*block_events*) python objects plus the
-    compact numpy output blocks.
+    the driver feeds a :class:`~repro.core.streamed.StreamingCompiler`
+    instead of the in-memory column builder, so peak staging memory is
+    O(*block_events*) python objects plus the compact numpy output
+    blocks.
     """
     from repro.core.streamed import StreamingCompiler
 
@@ -469,8 +478,7 @@ def generate_streamed(
         sim_time=config.sim_time,
         **kwargs,
     )
-    driver = _Driver(config, event_sink=compiler.feed_event)
-    driver._run_sim()
+    _Driver(config, sink=compiler)._run_sim()
     return compiler.finish()
 
 

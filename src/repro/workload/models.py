@@ -119,7 +119,7 @@ class HotspotWorkload(WorkloadModel):
             and rng.bernoulli(f"workload/hot/{host}", self.params["bias"])
             else candidates
         )
-        return pool[rng.choice_index(f"app/dst/{host}", len(pool))]
+        return pool[rng.choice_index(self.dst_stream[host], len(pool))]
 
 
 @register_workload("bursty")
@@ -181,7 +181,7 @@ class BurstyWorkload(WorkloadModel):
             if self._phase(host, rng, now)
             else self.config.internal_mean * factor
         )
-        return rng.exponential(f"app/internal/{host}", mean)
+        return rng.exponential(self.internal_stream[host], mean)
 
 
 @register_workload("trace")
@@ -267,7 +267,7 @@ class TraceWorkload(WorkloadModel):
             if queue:
                 return queue.popleft()
         return rng.exponential(
-            f"app/internal/{host}", self.config.internal_mean
+            self.internal_stream[host], self.config.internal_mean
         )
 
 

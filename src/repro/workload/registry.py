@@ -132,6 +132,11 @@ class WorkloadModel:
     def __init__(self, config: "WorkloadConfig", **params: Any):
         self.config = config
         self.params = self.coerce_params(params)
+        hosts = range(config.n_hosts)
+        #: Per-host names of the driver's ``app/...`` streams the
+        #: default hooks draw from (formatted once, not per draw).
+        self.internal_stream = [f"app/internal/{h}" for h in hosts]
+        self.dst_stream = [f"app/dst/{h}" for h in hosts]
         self._setup()
 
     def _setup(self) -> None:
@@ -183,7 +188,7 @@ class WorkloadModel:
     ) -> float:
         """Delay until *host*'s next application operation."""
         return rng.exponential(
-            f"app/internal/{host}", self.config.internal_mean
+            self.internal_stream[host], self.config.internal_mean
         )
 
     def choose_destination(
@@ -197,7 +202,7 @@ class WorkloadModel:
         (it becomes a no-op, like an empty candidate set).
         """
         return candidates[
-            rng.choice_index(f"app/dst/{host}", len(candidates))
+            rng.choice_index(self.dst_stream[host], len(candidates))
         ]
 
     def residence_scale(self, host: int, now: float) -> float:

@@ -142,3 +142,18 @@ def test_exception_in_callback_propagates_out_of_run():
     # the clock stays at the failing callback; later ones are untouched
     assert env.now == 1.0
     assert after == []
+
+
+def test_close_drops_pending_callbacks_and_keeps_event_count():
+    env = Environment()
+    fired = []
+    for delay in (1.0, 2.0, 3.0):
+        env.call_later(delay, lambda d=delay: fired.append(d))
+    env.run(until=1.5)
+    env.close()
+    assert env.event_count == 1
+    env.run()
+    assert fired == [1.0]
+    env.call_later(1.0, lambda: fired.append(env.now))
+    env.run()
+    assert fired == [1.0, 2.5] and env.event_count == 2

@@ -102,3 +102,48 @@ def test_seed_sequence_helper():
 def test_check_distinct_diagnostic():
     rs = RandomStreams(2)
     assert check_distinct(rs, ["a", "b", "c"])
+
+
+def _direct(seed: int, name: str) -> np.random.Generator:
+    """The generator ``RandomStreams(seed).stream(name)`` derives."""
+    import zlib
+
+    return np.random.default_rng(
+        np.random.SeedSequence(
+            entropy=seed, spawn_key=(zlib.crc32(name.encode("utf-8")),)
+        )
+    )
+
+
+def test_buffered_draws_equal_direct_generator_calls_across_refills():
+    """Every buffered draw kind serves the generator's own batches, in
+    order, and refills exactly when a draw finds its batch spent."""
+    seed, n = 11, RandomStreams.BATCH + 1
+    rs = RandomStreams(seed)
+
+    exp = [rs.exponential("exp", 2.0) for _ in range(n)]
+    gen = _direct(seed, "exp")
+    want = np.concatenate([gen.exponential(1.0, n - 1), gen.exponential(1.0, n - 1)])
+    assert exp == [v * 2.0 for v in want[:n].tolist()]
+
+    uni = [rs.uniform("uni", 1.0, 3.0) for _ in range(n)]
+    gen = _direct(seed, "uni")
+    want = np.concatenate([gen.random(n - 1), gen.random(n - 1)])
+    assert uni == [1.0 + 2.0 * v for v in want[:n].tolist()]
+
+    coin = [rs.bernoulli("coin", 0.3) for _ in range(n)]
+    gen = _direct(seed, "coin")
+    want = np.concatenate([gen.random(n - 1), gen.random(n - 1)])
+    assert coin == [v < 0.3 for v in want[:n].tolist()]
+
+    # Two integer ranges interleaved on one name share its generator:
+    # each (name, k) buffer refills on its own (BATCH + 1)-th draw.
+    picks = [(rs.choice_index("dst", 3), rs.choice_index("dst", 7)) for _ in range(n)]
+    gen = _direct(seed, "dst")
+    first3, first7 = gen.integers(0, 3, n - 1), gen.integers(0, 7, n - 1)
+    next3, next7 = gen.integers(0, 3, n - 1), gen.integers(0, 7, n - 1)
+    want3 = np.concatenate([first3, next3])[:n].tolist()
+    want7 = np.concatenate([first7, next7])[:n].tolist()
+    assert picks == list(zip(want3, want7))
+    assert all(type(k) is int for pair in picks for k in pair)
+    assert all(type(v) is float for v in exp + uni)
