@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as _scipy_stats
-
 
 @dataclass(slots=True, frozen=True)
 class SampleSummary:
@@ -66,6 +64,12 @@ def confidence_interval(
     values: Sequence[float], confidence: float = 0.95
 ) -> tuple[float, float]:
     """Student-t confidence interval for the mean of *values*."""
+    try:
+        from scipy import stats as _scipy_stats
+    except ImportError as exc:
+        raise ImportError(
+            "confidence_interval needs scipy (pip install scipy)"
+        ) from exc
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     s = summarize(values)

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.des.rng import RandomStreams
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class MoveKind(enum.Enum):
@@ -129,6 +131,8 @@ class GraphWalkCellChooser(CellChooser):
     """
 
     def __init__(self, n_mss: int, graph: Optional[nx.Graph] = None):
+        import networkx as nx
+
         if graph is None:
             graph = nx.cycle_graph(n_mss)
         if set(graph.nodes) != set(range(n_mss)):
